@@ -15,6 +15,7 @@ package explore
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"runtime"
 	"strconv"
@@ -155,6 +156,9 @@ type Result struct {
 	Report *core.TotalReport
 	// Baseline is the evaluated 2D baseline when the candidate has one.
 	Baseline *core.TotalReport
+	// memo is the memo entry Report came from, where ReportJSON keeps the
+	// encoded bytes; the block kernel leaves it nil.
+	memo *memoEntry
 	// BaselineErr is set when the candidate evaluated but its baseline did
 	// not (e.g. a die split fits the wafer where the monolithic die does
 	// not); the comparison fields stay zero.
@@ -191,6 +195,32 @@ func (r Result) Total() float64 {
 		return 0
 	}
 	return r.Report.Total.Kg()
+}
+
+// ReportJSON returns json.Marshal(r.Report). The report of an Evaluate
+// result is shared with its memo entry, and the entry keeps the encoded
+// bytes once the report has been encoded a second time; every later call,
+// from any result of that entry, returns those bytes without encoding
+// again. The caller must not modify the returned bytes.
+func (r Result) ReportJSON() ([]byte, error) {
+	m := r.memo
+	if m == nil || m.rep != r.Report {
+		return json.Marshal(r.Report)
+	}
+	kept := m.body.Load()
+	if kept != nil && kept != encodedOnce {
+		return *kept, nil
+	}
+	b, err := json.Marshal(r.Report)
+	if err != nil {
+		return nil, err
+	}
+	if kept == nil {
+		m.body.CompareAndSwap(nil, encodedOnce)
+	} else {
+		m.body.CompareAndSwap(encodedOnce, &b)
+	}
+	return b, nil
 }
 
 // Stats are the engine's evaluation counters.
@@ -370,7 +400,16 @@ type memoEntry struct {
 	once sync.Once
 	rep  *core.TotalReport
 	err  error
+	// body is rep's JSON encoding, kept from its second encode on (see
+	// Result.ReportJSON): nil until rep is first encoded, encodedOnce after
+	// that, the kept bytes after the second. It lives and is evicted with
+	// the entry, so the cache limit bounds the kept bytes.
+	body atomic.Pointer[[]byte]
 }
+
+// encodedOnce marks a memo entry whose report has been encoded once. Its
+// bytes are not kept yet: a design seen once costs no report-sized memory.
+var encodedOnce = new([]byte)
 
 // embodiedEntry is one resolve-once embodied sub-term. It serves two
 // homes with identical semantics: entries of the embodied memo cache, and
@@ -577,10 +616,11 @@ func (e *Engine) EmbodiedBound(c Candidate) (float64, error) {
 // the plan slot or the embodied cache (computed at most once per distinct
 // embodied design) and only the cheap operational term runs per (use
 // location, workload) variant. Embodied-only evaluations leave Operational
-// nil and set Total to the embodied carbon. The returned report is shared
-// across callers and must be treated as read-only.
+// nil and set Total to the embodied carbon. The returned entry is
+// resolved; its report is shared across callers and must be treated as
+// read-only.
 func (e *Engine) total(d *design.Design, w workload.Workload, eff units.Efficiency,
-	embodiedOnly bool, hint termHint, tc *termCounters) (*core.TotalReport, error) {
+	embodiedOnly bool, hint termHint, tc *termCounters) *memoEntry {
 	memo := e.memo() // also pins the fingerprint words memoKey mixes in
 	key := e.memoKey(d, w, eff, hint)
 	ent, ok, evicted := memo.get(key)
@@ -616,7 +656,7 @@ func (e *Engine) total(d *design.Design, w workload.Workload, eff units.Efficien
 		}
 		ent.rep, ent.err = e.Model.OperationalFrom(er, d, w, eff)
 	})
-	return ent.rep, ent.err
+	return ent
 }
 
 // evaluateOne fills one result. wc (optional) is the calling worker's
@@ -635,24 +675,29 @@ func (e *Engine) evaluateOne(c Candidate, tc *termCounters, wc *workerCache) Res
 		r.Err = fmt.Errorf("explore: candidate %q has no design", c.ID)
 		return r
 	}
-	rep, err := e.total(c.Design, c.Workload, c.Eff, c.embodiedOnly(), c.hint, tc)
-	if err != nil {
-		r.Err = err
+	ent := e.total(c.Design, c.Workload, c.Eff, c.embodiedOnly(), c.hint, tc)
+	if ent.err != nil {
+		r.Err = ent.err
 		return r
 	}
-	r.Report = rep
+	rep := ent.rep
+	r.Report, r.memo = rep, ent
 
 	if c.Baseline == nil {
 		return r
 	}
-	var base *core.TotalReport
+	var (
+		base *core.TotalReport
+		err  error
+	)
 	if wc != nil && wc.baseD == c.Baseline && wc.baseW == c.Workload && wc.baseEff == c.Eff {
 		// Same baseline design (pointer-identical, so field-identical) under
 		// the same workload as the previous candidate: reuse the memoized
 		// report without re-hashing it.
 		base, err = wc.baseRep, wc.baseErr
 	} else {
-		base, err = e.total(c.Baseline, c.Workload, c.Eff, c.embodiedOnly(), c.baseHint, tc)
+		bent := e.total(c.Baseline, c.Workload, c.Eff, c.embodiedOnly(), c.baseHint, tc)
+		base, err = bent.rep, bent.err
 		if wc != nil {
 			*wc = workerCache{baseD: c.Baseline, baseW: c.Workload, baseEff: c.Eff,
 				baseRep: base, baseErr: err}

@@ -262,9 +262,13 @@ func (s *Service) run(ctx context.Context, h *runHandle, id string) {
 	s.finishDone(e, id, sum)
 }
 
-// finishDone performs the terminal done transition: persist, summary and
-// state events, counters, quota release.
+// finishDone performs the terminal done transition: summary event,
+// persist, state event, counters, quota release. The summary is durable
+// before the done record: a stop between the two replays as a running job
+// that resumes from its checkpoint and finishes again, where the reverse
+// order would replay a done job that has lost its summary for good.
 func (s *Service) finishDone(e *jobEntry, id string, sum []byte) {
+	s.emit(id, Event{Type: "summary", Summary: sum})
 	s.mu.Lock()
 	s.setStateLocked(e, StateDone, "", "")
 	job := e.job
@@ -272,7 +276,6 @@ func (s *Service) finishDone(e *jobEntry, id string, sum []byte) {
 	s.cDone.Add(1)
 	s.lim.release(job.Tenant)
 	s.persist(Record{Kind: "job", Job: &job})
-	s.emit(id, Event{Type: "summary", Summary: sum})
 	s.emit(id, Event{Type: "state", State: StateDone})
 	s.logf("job %s done (%d candidates)", id, job.Total)
 }

@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"strconv"
 	"testing"
 
 	"repro/internal/design"
@@ -88,6 +89,56 @@ func BenchmarkBatchWarmCache(b *testing.B) {
 		if rec.Code != http.StatusOK {
 			b.Fatalf("status %d", rec.Code)
 		}
+	}
+}
+
+// BenchmarkBatchServeMix is the batch of the serve mix: 32 designs, 22 from
+// a hot set the memo already holds and 10 never seen before, so each batch
+// evaluates 10 designs and encodes 32 reports. The body is assembled in the
+// timed loop from pre-encoded pieces (a few memcpys per batch).
+func BenchmarkBatchServeMix(b *testing.B) {
+	const hot, fresh = 22, 10
+	hotDesigns := benchDesigns(b, hot)
+	hotBody, err := json.Marshal(hotDesigns)
+	if err != nil {
+		b.Fatal(err)
+	}
+	// The fresh designs are the first hot design with a die area no other
+	// batch uses, spliced into its encoding at a sentinel value.
+	tmpl := benchDesigns(b, 1)[0]
+	tmpl.Dies[1].AreaMM2 = 12345.5
+	raw, err := json.Marshal(tmpl)
+	if err != nil {
+		b.Fatal(err)
+	}
+	pre, post, ok := bytes.Cut(raw, []byte("12345.5"))
+	if !ok {
+		b.Fatal("sentinel area not found in the encoded design")
+	}
+	s := New(Options{})
+	send := func(body []byte) {
+		req := httptest.NewRequest(http.MethodPost, "/v1/evaluate/batch", bytes.NewReader(body))
+		rec := httptest.NewRecorder()
+		s.ServeHTTP(rec, req)
+		if rec.Code != http.StatusOK {
+			b.Fatalf("status %d: %s", rec.Code, rec.Body)
+		}
+	}
+	send(append(append([]byte(`{"designs":`), hotBody...), '}')) // warm the hot set
+
+	var body []byte
+	next := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		body = append(append(body[:0], `{"designs":`...), hotBody[:len(hotBody)-1]...)
+		for k := 0; k < fresh; k++ {
+			next++
+			body = append(append(body, ','), pre...)
+			body = strconv.AppendFloat(body, 90+float64(next)*1e-6, 'g', -1, 64)
+			body = append(body, post...)
+		}
+		send(append(body, "]}"...))
 	}
 }
 

@@ -22,10 +22,12 @@
 package server
 
 import (
+	"bufio"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log"
 	"net/http"
 	"net/http/pprof"
@@ -539,9 +541,14 @@ func (s *Server) decode(w http.ResponseWriter, r *http.Request, v any) error {
 	}
 	// A design document POSTed raw (without the request wrapper) is the
 	// most likely trailing-garbage case; reject everything after the first
-	// value so errors surface instead of silently ignoring input.
-	if dec.More() {
-		return errors.New("request body holds more than one JSON value")
+	// value but whitespace so errors surface instead of silently ignoring
+	// input. (dec.More reports a stray closing delimiter as "no more".)
+	if _, err := dec.Token(); err != io.EOF {
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			return err
+		}
+		return errors.New("request body holds data after its JSON value")
 	}
 	return nil
 }
@@ -568,10 +575,10 @@ func cancelStatus(w http.ResponseWriter, err error) int {
 		"client cancelled the request")
 }
 
-// evaluateDesign runs one request through the shared engine and renders the
-// response bytes every evaluation path shares (single and batch items), so
-// identical designs produce byte-identical reports everywhere.
-func (s *Server) evaluateDesign(ctx context.Context, eng *explore.Engine, req apitypes.EvaluateRequest) (json.RawMessage, *apitypes.Error, error) {
+// evaluateDesign runs one request through the shared engine and returns
+// its report bytes, which every evaluation path shares (single and batch
+// items), so identical designs produce byte-identical reports everywhere.
+func (s *Server) evaluateDesign(ctx context.Context, eng *explore.Engine, req apitypes.EvaluateRequest) ([]byte, *apitypes.Error, error) {
 	if req.Design == nil {
 		return nil, &apitypes.Error{Code: "bad_request",
 			Message: `request is missing the "design" object`}, nil
@@ -604,14 +611,8 @@ func (s *Server) evaluateDesign(ctx context.Context, eng *explore.Engine, req ap
 				res.Report.Operational.Required.GBytesPerS()),
 		}, nil
 	}
-	body, err := json.Marshal(apitypes.EvaluateResponse{
-		Design: req.Design.Name,
-		Report: res.Report,
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	return body, nil, nil
+	report, err := res.ReportJSON()
+	return report, nil, err
 }
 
 // errStatus maps a structured evaluation error to its HTTP status.
@@ -645,16 +646,14 @@ func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) int {
 		return writeError(w, errStatus(apiErr), apiErr.Code, apiErr.Message)
 	}
 
-	body, apiErr, err := s.evaluateDesign(ctx, eng, req)
+	report, apiErr, err := s.evaluateDesign(ctx, eng, req)
 	if err != nil {
 		return cancelStatus(w, err)
 	}
 	if apiErr != nil {
 		return writeError(w, errStatus(apiErr), apiErr.Code, apiErr.Message)
 	}
-	w.Header().Set("Content-Type", "application/json")
-	_, _ = w.Write(append(body, '\n'))
-	return http.StatusOK
+	return writeFramed(w, func(bw *bufio.Writer) { writeEvaluateBody(bw, req.Design.Name, report) })
 }
 
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) int {
@@ -686,18 +685,17 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) int {
 	// the batch evaluates, then fan the valid designs out in one Evaluate
 	// call — the engine's worker pool and shared cache do the heavy lifting.
 	wl, eff := req.Workload.Resolve()
-	items := make([]apitypes.BatchItem, len(req.Designs))
+	items := make([]batchItem, len(req.Designs))
 	cands := make([]explore.Candidate, 0, len(req.Designs))
 	candIdx := make([]int, 0, len(req.Designs))
 	for i, d := range req.Designs {
-		items[i].Index = i
 		if d == nil {
-			items[i].Error = &apitypes.Error{Code: "bad_request",
+			items[i].err = &apitypes.Error{Code: "bad_request",
 				Message: fmt.Sprintf("designs[%d] is null", i)}
 			continue
 		}
 		if err := eng.Model.ValidateDesign(d); err != nil {
-			items[i].Error = &apitypes.Error{Code: "invalid_design", Message: err.Error()}
+			items[i].err = &apitypes.Error{Code: "invalid_design", Message: err.Error()}
 			continue
 		}
 		cands = append(cands, explore.Candidate{
@@ -709,37 +707,25 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) int {
 	if err != nil {
 		return cancelStatus(w, err)
 	}
-	failed := 0
 	for j, res := range results {
-		i := candIdx[j]
+		it := &items[candIdx[j]]
 		s.evaluated.Add(1)
 		switch {
 		case res.Err != nil:
-			items[i].Error = &apitypes.Error{Code: "evaluation_failed", Message: res.Err.Error()}
+			it.err = &apitypes.Error{Code: "evaluation_failed", Message: res.Err.Error()}
 		case req.RequireBandwidthValid && res.Report.Operational != nil && !res.Report.Operational.Valid:
-			items[i].Error = &apitypes.Error{Code: "bandwidth_infeasible",
+			it.err = &apitypes.Error{Code: "bandwidth_infeasible",
 				Message: fmt.Sprintf("design %q fails the §3.4 bandwidth constraint", res.Candidate.ID)}
 		default:
-			body, err := json.Marshal(apitypes.EvaluateResponse{
-				Design: res.Candidate.ID, Report: res.Report,
-			})
+			report, err := res.ReportJSON()
 			if err != nil {
-				items[i].Error = &apitypes.Error{Code: "internal", Message: err.Error()}
+				it.err = &apitypes.Error{Code: "internal", Message: err.Error()}
 				break
 			}
-			items[i].Result = body
+			it.name, it.report = res.Candidate.ID, report
 		}
 	}
-	for _, it := range items {
-		if it.Error != nil {
-			failed++
-		}
-	}
-	return writeJSON(w, apitypes.BatchResponse{
-		Count:   len(items),
-		Failed:  failed,
-		Results: items,
-	})
+	return writeFramed(w, func(bw *bufio.Writer) { writeBatchBody(bw, items) })
 }
 
 func (s *Server) handleMeta(w http.ResponseWriter, _ *http.Request) int {

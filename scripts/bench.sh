@@ -15,7 +15,8 @@
 #
 # Suites (matching .github/workflows/ci.yml step-for-step):
 #   explore   end-to-end Explore + engine benchmarks
-#   serve     HTTP batch / single-evaluate throughput
+#   serve     HTTP batch throughput, serve-mix batch (22 hot + 10 new
+#             designs), single evaluate
 #   stream    materializing vs streaming pipeline
 #   factored  term-factorized vs monolithic stream (gated >= 2.0x in CI)
 #   block     block kernel vs scalar streaming baseline (gated >= 3.0x in CI)
@@ -44,7 +45,7 @@ bench() {
 bench explore 5 'Explore' .
 go test -run '^$' -bench 'BenchmarkEngine' -benchtime "$((5 * SCALE))x" \
   ./internal/explore | tee "$OUT/bench_engine.txt"
-bench serve 5 'BenchmarkBatch|BenchmarkEvaluateSingle' ./internal/server
+bench serve 5 'BenchmarkBatchThroughput|BenchmarkBatchWarmCache|BenchmarkBatchServeMix|BenchmarkEvaluateSingle' ./internal/server
 bench stream 10 'BenchmarkExplore$|BenchmarkStreamExplore$' ./internal/explore
 bench factored 30 'BenchmarkStreamExploreMonolithic$|BenchmarkStreamExploreFactored$' ./internal/explore
 bench block 30 'BenchmarkStreamExploreScalar$|BenchmarkStreamExploreBlock$' ./internal/explore
