@@ -391,8 +391,9 @@ func (p *Pool) failure(r *replica) {
 		r.openedAt = p.now()
 		if !wasOpen {
 			p.cBreakerOpened.Add(1)
+			fails := r.fails // read under p.mu: another dispatch may fail now
 			p.mu.Unlock()
-			p.logf("replica %s: breaker opened after %d consecutive failures", r.url, r.fails)
+			p.logf("replica %s: breaker opened after %d consecutive failures", r.url, fails)
 			return
 		}
 	}

@@ -106,6 +106,73 @@ func BenchmarkEngineWarm(b *testing.B) {
 	}
 }
 
+// fullBoundedCache returns a bounded cache of 65,536 entries — the
+// serving default — filled in 64-key batches, and the key that comes next.
+func fullBoundedCache() (*memoCache[memoEntry], uint64) {
+	const limit, batch = 1 << 16, 64
+	c := newMemoCache[memoEntry](limit, 0)
+	keys := make([]keyPair, batch)
+	ents := make([]*memoEntry, batch)
+	hits := make([]bool, batch)
+	next := uint64(0)
+	for next < limit {
+		for i := range keys {
+			keys[i] = seqKey(next)
+			next++
+		}
+		c.getBatch(keys, ents, hits)
+	}
+	return c, next
+}
+
+// BenchmarkMemoCacheBoundedChurn probes a full bounded cache with 64-key
+// batches of never-seen keys: every key misses and evicts the shard's
+// least recently used entry. One op is one batch; ns/key is the per-key
+// cost.
+func BenchmarkMemoCacheBoundedChurn(b *testing.B) {
+	c, next := fullBoundedCache()
+	keys := make([]keyPair, 64)
+	ents := make([]*memoEntry, len(keys))
+	hits := make([]bool, len(keys))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		for i := range keys {
+			keys[i] = seqKey(next)
+			next++
+		}
+		c.getBatch(keys, ents, hits)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(keys)), "ns/key")
+}
+
+// BenchmarkMemoCacheBoundedHit probes a full bounded cache with 64-key
+// batches of resident keys, cycling through the whole resident set: every
+// key hits and moves to the front of its shard. One op is one batch.
+func BenchmarkMemoCacheBoundedHit(b *testing.B) {
+	c, next := fullBoundedCache()
+	resident := make([]keyPair, c.entries())
+	for i := range resident {
+		resident[i] = seqKey(next - uint64(len(resident)) + uint64(i))
+	}
+	const batch = 64
+	ents := make([]*memoEntry, batch)
+	hits := make([]bool, batch)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		lo := n * batch % len(resident)
+		c.getBatch(resident[lo:lo+batch], ents, hits)
+	}
+	b.StopTimer()
+	for _, hit := range hits {
+		if !hit {
+			b.Fatal("resident key missed")
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch), "ns/key")
+}
+
 // streamBenchSpace widens benchSpace with a lifetime axis: 1620 candidates
 // over 192 distinct designs — the regime the streaming pipeline's
 // amortized decode targets (many axis points per design template).

@@ -6,36 +6,48 @@
 package explore
 
 import (
-	"container/list"
 	"runtime"
 	"sync"
 )
 
-// cacheEntry is one LRU slot: the memo key (so eviction can delete the map
-// entry) and the memoized value. The cache is generic over the entry type —
-// the engine keeps two instances, one of whole evaluations (memoEntry) and
-// one of embodied sub-terms (embodiedEntry).
-type cacheEntry[E any] struct {
-	key keyPair
-	ent *E
-}
-
-// memoShard is one independently locked segment. Bounded shards maintain an
-// LRU list for eviction; unbounded shards (limit ≤ 0) skip the list
-// entirely — a plain keyPair → entry map — because nothing is ever evicted,
-// which removes two allocations per insert and the MoveToFront write per
+// memoShard is one independently locked segment. The cache is generic over
+// the entry type — the engine keeps two instances, one of whole evaluations
+// (memoEntry) and one of embodied sub-terms (embodiedEntry).
+//
+// Bounded shards are an exact LRU linked through slice indices: memo maps a
+// key to its node in nodes, and the nodes form a doubly linked list from
+// head (most recently used) to tail. memo holds no pointers, so the GC never
+// scans it; nodes grows by doubling up to limit and, once full, a miss reuses
+// the tail node in place. A miss therefore allocates only its entry.
+// Entries themselves are never recycled: a Result or an in-flight once.Do
+// may still hold an evicted one.
+//
+// Unbounded shards (limit ≤ 0) skip the list entirely — a plain
+// keyPair → entry map with entries carved from slabs — because nothing is
+// ever evicted, which removes the per-insert allocation and the relink per
 // hit from the hot path of unbounded engines (CLIs, benchmarks).
 type memoShard[E any] struct {
-	mu    sync.Mutex
-	memo  map[keyPair]*list.Element // bounded mode → *cacheEntry[E]
-	plain map[keyPair]*E            // unbounded mode
-	slab  []E                       // unbounded mode: chunked entry storage
-	lru   *list.List                // front = most recently used (bounded)
-	limit int                       // ≤0 = unbounded
+	mu         sync.Mutex
+	memo       map[keyPair]int32 // bounded mode: key → index into nodes
+	nodes      []lruNode[E]      // bounded mode
+	head, tail int32             // bounded mode: MRU and LRU node, -1 when empty
+	plain      map[keyPair]*E    // unbounded mode
+	slab       []E               // unbounded mode: chunked entry storage
+	limit      int               // ≤0 = unbounded
 
 	// pad spaces shards apart so their mutexes do not false-share one
 	// cache line under cross-core contention.
 	_ [40]byte
+}
+
+// lruNode is one bounded-shard slot: the memo key (so eviction can delete
+// the map entry), the memoized value and its list neighbours (-1 = none).
+// Indices are int32, which caps a shard at 2³¹-1 entries — far past any
+// memory a cache of reports could occupy.
+type lruNode[E any] struct {
+	key        keyPair
+	ent        *E
+	prev, next int32
 }
 
 // shardSlab is how many entries an unbounded shard allocates at a time:
@@ -83,8 +95,8 @@ func newMemoCache[E any](limit, shards int) *memoCache[E] {
 	for i := range c.shards {
 		s := &c.shards[i]
 		if limit > 0 {
-			s.memo = make(map[keyPair]*list.Element)
-			s.lru = list.New()
+			s.memo = make(map[keyPair]int32)
+			s.head, s.tail = -1, -1
 			// Distribute the global bound; the first shards take the
 			// remainder so the per-shard limits sum to exactly limit.
 			s.limit = limit / p
@@ -141,37 +153,30 @@ func (c *memoCache[E]) get(key keyPair) (ent *E, hit bool, evicted int) {
 		s.mu.Unlock()
 		return ent, hit, 0
 	}
-	if el, ok := s.memo[key]; ok {
-		s.lru.MoveToFront(el)
-		ent = el.Value.(*cacheEntry[E]).ent
-		s.mu.Unlock()
-		return ent, true, 0
-	}
-	ent = new(E)
-	s.memo[key] = s.lru.PushFront(&cacheEntry[E]{key: key, ent: ent})
-	if s.limit > 0 {
-		for len(s.memo) > s.limit {
-			back := s.lru.Back()
-			delete(s.memo, back.Value.(*cacheEntry[E]).key)
-			s.lru.Remove(back)
-			evicted++
-		}
-	}
+	ent, hit, evicted = s.lruGet(key)
 	s.mu.Unlock()
-	return ent, false, evicted
+	return ent, hit, evicted
 }
 
 // getBatch is get over a key column: ents[i] and hits[i] are filled for
 // every keys[i], with each shard's lock taken once per call instead of
-// once per key — the block kernel probes a whole run in one sweep.
-// Bounded caches fall back to per-key gets (eviction bookkeeping is
-// per-access); the returned evicted count covers that path.
+// once per key — the block kernel probes a whole run in one sweep. A
+// bounded shard sees its keys in input order, so hits, evictions and LRU
+// order are those of one get per key.
 func (c *memoCache[E]) getBatch(keys []keyPair, ents []*E, hits []bool) (evicted int) {
 	if c.shards[0].limit > 0 {
-		for i, k := range keys {
-			var ev int
-			ents[i], hits[i], ev = c.get(k)
-			evicted += ev
+		for si := range c.shards {
+			s := &c.shards[si]
+			s.mu.Lock()
+			for i, k := range keys {
+				if k.lo&c.mask != uint64(si) {
+					continue
+				}
+				var ev int
+				ents[i], hits[i], ev = s.lruGet(k)
+				evicted += ev
+			}
+			s.mu.Unlock()
 		}
 		return evicted
 	}
@@ -196,6 +201,68 @@ func (c *memoCache[E]) getBatch(keys []keyPair, ents []*E, hits []bool) (evicted
 		s.mu.Unlock()
 	}
 	return 0
+}
+
+// lruGet is the bounded lookup; the caller holds s.mu. A hit moves the
+// node to the front. A miss appends a node while the shard is below its
+// limit and otherwise evicts the tail and reuses its node for key.
+func (s *memoShard[E]) lruGet(key keyPair) (ent *E, hit bool, evicted int) {
+	if i, ok := s.memo[key]; ok {
+		if i != s.head {
+			s.unlink(i)
+			s.pushFront(i)
+		}
+		return s.nodes[i].ent, true, 0
+	}
+	ent = new(E)
+	var i int32
+	if len(s.nodes) < s.limit {
+		if len(s.nodes) == cap(s.nodes) {
+			// Double, but stop at the limit: append's own growth would
+			// overshoot a full shard by up to a quarter.
+			grown := make([]lruNode[E], len(s.nodes), min(max(2*len(s.nodes), 8), s.limit))
+			copy(grown, s.nodes)
+			s.nodes = grown
+		}
+		i = int32(len(s.nodes))
+		s.nodes = append(s.nodes, lruNode[E]{key: key, ent: ent})
+	} else {
+		i = s.tail
+		s.unlink(i)
+		delete(s.memo, s.nodes[i].key)
+		s.nodes[i].key, s.nodes[i].ent = key, ent
+		evicted = 1
+	}
+	s.memo[key] = i
+	s.pushFront(i)
+	return ent, false, evicted
+}
+
+// unlink detaches node i from the list.
+func (s *memoShard[E]) unlink(i int32) {
+	n := &s.nodes[i]
+	if n.prev >= 0 {
+		s.nodes[n.prev].next = n.next
+	} else {
+		s.head = n.next
+	}
+	if n.next >= 0 {
+		s.nodes[n.next].prev = n.prev
+	} else {
+		s.tail = n.prev
+	}
+}
+
+// pushFront links the detached node i in as the most recently used.
+func (s *memoShard[E]) pushFront(i int32) {
+	n := &s.nodes[i]
+	n.prev, n.next = -1, s.head
+	if s.head >= 0 {
+		s.nodes[s.head].prev = i
+	} else {
+		s.tail = i
+	}
+	s.head = i
 }
 
 // entries sums the resident entry counts across shards.

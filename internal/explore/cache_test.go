@@ -235,3 +235,68 @@ func TestStreamFactoredColdAllocsBounded(t *testing.T) {
 			factored, monolithic)
 	}
 }
+
+// A full bounded cache allocates only the entry of a miss: the node of the
+// evicted tail is reused in place, and a hit relinks without allocating —
+// for single gets and for batches alike.
+func TestBoundedCacheAllocs(t *testing.T) {
+	const (
+		limit = 4096
+		batch = 64
+	)
+	c := newMemoCache[memoEntry](limit, 0)
+	next := uint64(0)
+	keys := make([]keyPair, batch)
+	ents := make([]*memoEntry, batch)
+	hits := make([]bool, batch)
+	fresh := func() {
+		for i := range keys {
+			keys[i] = seqKey(next)
+			next++
+		}
+	}
+	for c.entries() < limit {
+		fresh()
+		c.getBatch(keys, ents, hits)
+	}
+
+	evicted := 0
+	getMiss := testing.AllocsPerRun(1000, func() {
+		_, hit, ev := c.get(seqKey(next))
+		next++
+		if hit {
+			t.Fatal("fresh key hit")
+		}
+		evicted += ev
+	})
+	batchMiss := testing.AllocsPerRun(100, func() {
+		fresh()
+		evicted += c.getBatch(keys, ents, hits)
+	}) / batch
+	if want := 1001 + 101*batch; evicted != want {
+		t.Errorf("evicted %d on a full cache, want one per miss (%d)", evicted, want)
+	}
+	// keys holds the last batch, now the most recently used entries.
+	hot := keys[0]
+	getHit := testing.AllocsPerRun(1000, func() {
+		if _, hit, _ := c.get(hot); !hit {
+			t.Fatal("resident key missed")
+		}
+	})
+	batchHit := testing.AllocsPerRun(100, func() {
+		c.getBatch(keys, ents, hits)
+		for _, hit := range hits {
+			if !hit {
+				t.Fatal("resident batch missed")
+			}
+		}
+	}) / batch
+	t.Logf("allocs: get miss %.2f hit %.2f; getBatch per key miss %.2f hit %.2f",
+		getMiss, getHit, batchMiss, batchHit)
+	if getMiss > 1 || batchMiss > 1 {
+		t.Errorf("evicting miss allocates get %.2f, getBatch %.2f per key; budget 1", getMiss, batchMiss)
+	}
+	if getHit != 0 || batchHit != 0 {
+		t.Errorf("hit allocates get %.2f, getBatch %.2f per key; budget 0", getHit, batchHit)
+	}
+}

@@ -187,6 +187,10 @@ func TestChaosSubscriberChurn(t *testing.T) {
 
 	var collected []Event
 	next := 1
+	// The job turns terminal before its terminal state event is emitted,
+	// so the subscriber stops, as the HTTP event stream does, at that
+	// event rather than at the job's state.
+	deadline := time.Now().Add(30 * time.Second)
 	for {
 		evs, notify, stop, err := s.EventsSince(job.ID, next)
 		if err != nil {
@@ -195,11 +199,14 @@ func TestChaosSubscriberChurn(t *testing.T) {
 		collected = append(collected, evs...)
 		if len(evs) > 0 {
 			next = evs[len(evs)-1].Seq + 1
+			if last := evs[len(evs)-1]; last.Type == "state" && last.State.Terminal() {
+				stop()
+				break
+			}
 		}
-		j, _, _, _ := s.Get(job.ID)
-		if j.State.Terminal() && len(s.More(job.ID, next)) == 0 {
+		if time.Now().After(deadline) {
 			stop()
-			break
+			t.Fatalf("no terminal state event after %d events", len(collected))
 		}
 		// Simulate a dropped connection: wait briefly for traffic, then
 		// abandon this subscription and reattach with the cursor.

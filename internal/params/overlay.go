@@ -11,6 +11,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 )
 
@@ -43,8 +44,10 @@ func decodeStrict(data []byte, v any) error {
 	if err := dec.Decode(v); err != nil {
 		return err
 	}
-	if dec.More() {
-		return errors.New("more than one JSON value")
+	// Only whitespace may follow the value. (dec.More reports a stray
+	// closing delimiter as "no more", so it would let "{}}" through.)
+	if _, err := dec.Token(); err != io.EOF {
+		return errors.New("data after the JSON value")
 	}
 	return nil
 }

@@ -149,6 +149,9 @@ func TestOverlayRejects(t *testing.T) {
 		{"syntax", `{`, "not valid JSON"},
 		{"non-object", `42`, "must be a JSON object"},
 		{"trailing", `{} {}`, "not valid JSON"},
+		{"trailing-brace", `{}}`, "not valid JSON"},
+		{"trailing-bracket", `{}]`, "not valid JSON"},
+		{"trailing-braces", `{}}}`, "not valid JSON"},
 		{"unknown-field", `{"gird": {}}`, "schema"},
 		{"unknown-nested", `{"tech":{"nodes":{"7":{"d0":0.1}}}}`, "schema"},
 		{"negative", `{"grid":{"intensities":{"taiwan":-5}}}`, "outside"},
@@ -168,6 +171,15 @@ func TestOverlayRejects(t *testing.T) {
 				t.Errorf("error %q does not mention %q", err, c.want)
 			}
 		})
+	}
+}
+
+// Whitespace after the overlay value is not trailing data.
+func TestOverlayAcceptsTrailingWhitespace(t *testing.T) {
+	for _, patch := range []string{"{}", "{}\n", " {} \t\r\n"} {
+		if _, err := Overlay(Default(), []byte(patch)); err != nil {
+			t.Errorf("overlay %q rejected: %v", patch, err)
+		}
 	}
 }
 

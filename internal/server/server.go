@@ -47,9 +47,11 @@ import (
 
 // Defaults for the zero Options.
 const (
-	// DefaultCacheLimit bounds the process-wide memoization cache. A cached
-	// evaluation is a few kB of reports, so the default is tens of MB at
-	// worst.
+	// DefaultCacheLimit bounds the process-wide memoization cache. Full, it
+	// measured ≈20 MB resident on amd64 (go1.24, a 72,000-candidate space
+	// of 2D/3D/2.5D designs): ≈310 B per entry, of which ≈135 B is cache
+	// structure and the rest the report. An entry whose report has been
+	// encoded twice also keeps its ≈1 kB of JSON, so ≈90 MB at worst.
 	DefaultCacheLimit = 1 << 16
 	// DefaultRequestTimeout bounds one evaluation request end to end.
 	DefaultRequestTimeout = 60 * time.Second

@@ -14,7 +14,8 @@
 #   BENCHTIME_SCALE=10 scripts/bench.sh /tmp/bench
 #
 # Suites (matching .github/workflows/ci.yml step-for-step):
-#   explore   end-to-end Explore + engine benchmarks
+#   explore   end-to-end Explore + engine benchmarks, bounded memo LRU
+#             churn and hit (64-key batches on a full 65,536-entry cache)
 #   serve     HTTP batch throughput, serve-mix batch (22 hot + 10 new
 #             designs), single evaluate
 #   stream    materializing vs streaming pipeline
@@ -43,8 +44,8 @@ bench() {
 }
 
 bench explore 5 'Explore' .
-go test -run '^$' -bench 'BenchmarkEngine' -benchtime "$((5 * SCALE))x" \
-  ./internal/explore | tee "$OUT/bench_engine.txt"
+go test -run '^$' -bench 'BenchmarkEngine|BenchmarkMemoCacheBounded' -benchmem \
+  -benchtime "$((5 * SCALE))x" ./internal/explore | tee "$OUT/bench_engine.txt"
 bench serve 5 'BenchmarkBatchThroughput|BenchmarkBatchWarmCache|BenchmarkBatchServeMix|BenchmarkEvaluateSingle' ./internal/server
 bench stream 10 'BenchmarkExplore$|BenchmarkStreamExplore$' ./internal/explore
 bench factored 30 'BenchmarkStreamExploreMonolithic$|BenchmarkStreamExploreFactored$' ./internal/explore
